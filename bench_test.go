@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§IV), plus the ablations from DESIGN.md §3. Run with:
+// (§IV), plus ablations of the simulator's design knobs (A1–A4). Run with:
 //
 //	go test -bench=. -benchmem .
 //
@@ -135,7 +135,7 @@ func TestTableIShape(t *testing.T) {
 // driveJSONWorkload sends interactive step requests with full state
 // payloads — the web client's request pattern.
 func driveJSONWorkload(tb testing.TB, ts *httptest.Server, n int) {
-	body, _ := json.Marshal(&server.SimulateRequest{
+	body, _ := json.Marshal(&api.SimulateRequest{
 		Code:         loadgen.ProgramB,
 		Steps:        40,
 		IncludeState: true,
@@ -169,7 +169,7 @@ func BenchmarkJSONShare(b *testing.B) {
 // the simulation are diminishing". The paper measures ~60% JSON share on
 // its Java stack; Go's encoder is faster, so the absolute share is lower
 // here, but the JSON-vs-simulation ordering — the actionable finding —
-// reproduces (see EXPERIMENTS.md E2).
+// reproduces (experiment E2 in the header of this file).
 func TestJSONShareDominates(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("timing-shape test; race instrumentation distorts latencies")
@@ -501,7 +501,7 @@ func TestGzipCompressionRatio(t *testing.T) {
 	srv := server.New(server.DefaultOptions())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	body, _ := json.Marshal(&server.SimulateRequest{
+	body, _ := json.Marshal(&api.SimulateRequest{
 		Code: loadgen.ProgramB, Steps: 40, IncludeState: true,
 	})
 

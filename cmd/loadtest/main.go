@@ -83,7 +83,8 @@ func main() {
 	if *noDocker {
 		return
 	}
-	// Docker rows via the containerization shim (DESIGN.md §1).
+	// Docker rows via the containerization shim (loadgen.DockerShim
+	// models the container's overhead; no Docker daemon is needed).
 	dockerized := server.New(server.DefaultOptions())
 	shim := loadgen.DefaultDockerShim(dockerized.Handler())
 	tsDocker := httptest.NewServer(shim)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"riscvsim/internal/asm"
 	"riscvsim/internal/expr"
 	"riscvsim/internal/fault"
@@ -20,7 +18,10 @@ import (
 // per-instruction execPlans resolve to renamed source slots instead, which
 // only exist in the detailed pipeline). Executing a block then costs a
 // single plan dispatch plus one tight loop, the per-block trick GVSoC uses
-// to reach tens of MIPS (PAPERS.md, Bruschi et al.).
+// to reach tens of MIPS (PAPERS.md, Bruschi et al.). The loop makes one
+// execKernel call per fused op — the semantics the detailed pipeline
+// runs too (exec.go) — and keeps only the architectural operand sourcing
+// and result sinks.
 //
 // Fast-forward mode (EngineFastForward) executes these plans against the
 // architectural state only: no fetch/rename/ROB/LSU modeling, no cache or
@@ -55,10 +56,9 @@ type blockPlan struct {
 // execFallback and run through the expression interpreter.
 type ffOp struct {
 	op       execOp
-	rdFloat  bool // destination lives in the float register file
-	rs2Float bool // store payload comes from the float register file
+	rdClass  isa.RegClass // register file of the destination
+	rs2Class isa.RegClass // register file of a store payload
 	halts    bool
-	memWidth uint8
 	flops    uint8
 	typ      isa.InstrType
 	// Architectural register indices; -1 = absent (or an x0 destination,
@@ -124,39 +124,34 @@ func (e *ExecEngine) blockAt(pc int) *blockPlan {
 	end := int(e.blockEnd[pc])
 	bp := &blockPlan{start: pc, ops: make([]ffOp, end-pc)}
 	for i := pc; i < end; i++ {
-		bp.ops[i-pc] = ffCompileOp(&e.plans[i], e.prog.Instructions[i])
+		bp.ops[i-pc] = ffCompileOp(&e.plans[i], &e.rplans[i], e.prog.Instructions[i])
 	}
 	e.blocks[pc] = bp
 	return bp
 }
 
 // ffCompileOp fuses one static instruction into a block-plan operation,
-// re-resolving the execPlan's renamed source slots to architectural
-// register indices.
-func ffCompileOp(p *execPlan, in *asm.Instruction) ffOp {
+// re-resolving the execPlan's renamed source slots to the architectural
+// registers its rename plan names.
+func ffCompileOp(p *execPlan, rp *renamePlan, in *asm.Instruction) ffOp {
 	d := in.Desc
 	o := ffOp{
-		op: p.op, halts: d.Halts, memWidth: uint8(d.MemWidth),
-		flops: uint8(d.Flops), typ: d.Type,
+		op: p.op, halts: d.Halts, flops: uint8(d.Flops), typ: d.Type,
 		rd: -1, rs1: -1, rs2: -1, imm: p.imm, tgt: int32(p.tgt), static: in,
 	}
 	if p.op == execFallback {
 		return o
 	}
 	if p.rs1 >= 0 {
-		o.rs1 = int16(in.Op("rs1").Reg)
+		o.rs1 = int16(rp.srcs[p.rs1].reg)
 	}
 	if p.rs2 >= 0 {
-		op := in.Op("rs2")
-		o.rs2 = int16(op.Reg)
-		o.rs2Float = op.Arg.Kind == isa.ArgRegFloat
+		o.rs2 = int16(rp.srcs[p.rs2].reg)
+		o.rs2Class = rp.srcs[p.rs2].class
 	}
-	if dst := d.DestArg(); dst != nil {
-		op := in.Op(dst.Name)
-		o.rdFloat = dst.Kind == isa.ArgRegFloat
-		if o.rdFloat || op.Reg != isa.RegZero {
-			o.rd = int16(op.Reg)
-		}
+	if rp.hasDest {
+		o.rd = int16(rp.destReg)
+		o.rdClass = rp.destClass
 	}
 	return o
 }
@@ -203,10 +198,7 @@ func (s *Simulation) ffStep() {
 		// The program ran off the code segment (the entry routine
 		// returned to the sentinel address): same end story as the
 		// detailed pipeline draining empty.
-		s.halted = true
-		s.haltReason = "pipeline empty"
-		s.logf(s.cycle, "halt: pipeline empty after %d committed instructions", s.committedCount)
-		s.l1.FlushAll(s.cycle)
+		s.haltPipelineEmpty(s.cycle)
 		return
 	}
 	s.ffRunBlock(s.eng.blockAt(pc))
@@ -215,7 +207,9 @@ func (s *Simulation) ffStep() {
 // ffRunBlock executes one fused block against the architectural state:
 // one committed instruction per cycle, branch early-out at the
 // terminator, fetch's PC tracking the commit point so a switchover to
-// detailed mode resumes exactly there.
+// detailed mode resumes exactly there. It is the fast-forward adapter of
+// execKernel: operands come from the architectural integer file, and
+// results go back to it (or to memory through ffMemory).
 func (s *Simulation) ffRunBlock(bp *blockPlan) {
 	for i := range bp.ops {
 		pc := bp.start + i
@@ -233,220 +227,81 @@ func (s *Simulation) ffRunBlock(bp *blockPlan) {
 			return
 		}
 		o := &bp.ops[i]
-		next := pc + 1
 		s.cycle++
+		var next int
 		if s.eng.forceGeneric || o.op == execFallback {
 			n, ok := s.ffGenericOp(o, pc)
 			if !ok {
 				return // exception: the halt story is already recorded
 			}
 			next = n
-		} else if !s.ffSpecOp(o, pc, &next) {
-			return
+		} else {
+			var a, b int32
+			if o.rs1 >= 0 {
+				a = intOperand(s.rf.ArchValue(isa.RegInt, int(o.rs1)))
+			}
+			if o.rs2 >= 0 && o.op != execStoreAddr {
+				b = intOperand(s.rf.ArchValue(isa.RegInt, int(o.rs2)))
+			}
+			v, n, k := execKernel(o.op, a, b, o.imm, pc, int(o.tgt))
+			switch k {
+			case outValue, outJump:
+				// An x0 (or absent) destination computes and
+				// discards, like the pipeline.
+				if o.rd >= 0 {
+					s.rf.SetArchValue(isa.RegInt, int(o.rd), expr.NewInt(v))
+				}
+			case outAddr:
+				var data uint64
+				store := o.op == execStoreAddr
+				if store {
+					data = s.rf.ArchValue(o.rs2Class, int(o.rs2)).Bits()
+				}
+				val, ok := s.ffMemory(o.static.Desc, pc, int(v), store, data)
+				if !ok {
+					return
+				}
+				if o.rd >= 0 { // stores have no destination
+					s.rf.SetArchValue(o.rdClass, int(o.rd), val)
+				}
+			case outDivZero:
+				s.ffFault(divZeroFault(o.op, v, pc, s.cycle), pc)
+				return
+			}
+			next = n
 		}
 		s.committedCount++
 		s.dynMix[o.typ]++
 		s.flops += uint64(o.flops)
 		s.fetch.pc = next
 		if o.halts {
-			s.halted = true
-			s.haltReason = fmt.Sprintf("%s executed (the simulator runs no OS; environment calls end the program)", o.static.Desc.Name)
-			s.logf(s.cycle, "halt: %s", s.haltReason)
-			s.l1.FlushAll(s.cycle)
+			s.haltOnEnvCall(o.static.Desc.Name, s.cycle)
 			return
 		}
 	}
 }
 
-// ffSpecOp executes one specialized fused operation, mirroring the
-// semantics (and exception stories) of ExecEngine.Execute plus the
-// memory/writeback stages the detailed pipeline would run afterwards.
-// It reports false when the operation faulted.
-func (s *Simulation) ffSpecOp(o *ffOp, pc int, next *int) bool {
-	var a, b int32
-	if o.rs1 >= 0 {
-		a = s.rf.ArchValue(isa.RegInt, int(o.rs1)).Int()
+// ffMemory is the fast-forward load/store sink shared by fused and
+// interpreted operations: the engines' common bounds check, then the
+// access straight to memory (fast-forward keeps the cache coherent by
+// flushing it at switchover). A load returns its converted value; a fault
+// ends the run and reports false.
+func (s *Simulation) ffMemory(d *isa.Desc, pc, addr int, store bool, data uint64) (expr.Value, bool) {
+	if exc := s.checkAddress(d, addr, pc, s.cycle); exc != nil {
+		s.ffFault(exc, pc)
+		return expr.Value{}, false
 	}
-	if o.rs2 >= 0 && o.op != execStoreAddr {
-		b = s.rf.ArchValue(isa.RegInt, int(o.rs2)).Int()
+	if store {
+		_ = s.mem.WriteRaw(addr, d.MemWidth, data)
+		return expr.Value{}, true
 	}
-	switch o.op {
-	case execNop:
-	case execLUI:
-		s.ffSetInt(o, a, b, o.imm<<12)
-	case execAUIPC:
-		s.ffSetInt(o, a, b, o.imm<<12+int32(pc))
-	case execJAL:
-		s.ffSetInt(o, a, b, int32(pc)+1)
-		*next = int(o.tgt)
-	case execJALR:
-		s.ffSetInt(o, a, b, int32(pc)+1)
-		*next = int(a + o.imm)
-	case execBEQ:
-		if a == b {
-			*next = int(o.tgt)
-		}
-	case execBNE:
-		if a != b {
-			*next = int(o.tgt)
-		}
-	case execBLT:
-		if a < b {
-			*next = int(o.tgt)
-		}
-	case execBGE:
-		if a >= b {
-			*next = int(o.tgt)
-		}
-	case execBLTU:
-		if uint32(a) < uint32(b) {
-			*next = int(o.tgt)
-		}
-	case execBGEU:
-		if uint32(a) >= uint32(b) {
-			*next = int(o.tgt)
-		}
-	case execLoadAddr:
-		addr := int(a + o.imm)
-		if exc := s.ffCheckAddr(o.static.Desc, addr); exc != nil {
-			s.ffFault(exc, pc)
-			return false
-		}
-		raw, _ := s.mem.ReadRaw(addr, int(o.memWidth))
-		if o.rd >= 0 {
-			cls := isa.RegInt
-			if o.rdFloat {
-				cls = isa.RegFloat
-			}
-			s.rf.SetArchValue(cls, int(o.rd), LoadValue(o.static.Desc, raw))
-		}
-	case execStoreAddr:
-		addr := int(a + o.imm)
-		if exc := s.ffCheckAddr(o.static.Desc, addr); exc != nil {
-			s.ffFault(exc, pc)
-			return false
-		}
-		cls := isa.RegInt
-		if o.rs2Float {
-			cls = isa.RegFloat
-		}
-		_ = s.mem.WriteRaw(addr, int(o.memWidth), s.rf.ArchValue(cls, int(o.rs2)).Bits())
-	case execADDI:
-		s.ffSetInt(o, a, b, a+o.imm)
-	case execSLTI:
-		s.ffSetInt(o, a, b, b2i(a < o.imm))
-	case execSLTIU:
-		s.ffSetInt(o, a, b, b2i(uint32(a) < uint32(o.imm)))
-	case execXORI:
-		s.ffSetInt(o, a, b, a^o.imm)
-	case execORI:
-		s.ffSetInt(o, a, b, a|o.imm)
-	case execANDI:
-		s.ffSetInt(o, a, b, a&o.imm)
-	case execSLLI:
-		s.ffSetInt(o, a, b, int32(uint32(a)<<(uint32(o.imm)&31)))
-	case execSRLI:
-		s.ffSetInt(o, a, b, int32(uint32(a)>>(uint32(o.imm)&31)))
-	case execSRAI:
-		s.ffSetInt(o, a, b, a>>(uint32(o.imm)&31))
-	case execADD:
-		s.ffSetInt(o, a, b, a+b)
-	case execSUB:
-		s.ffSetInt(o, a, b, a-b)
-	case execSLL:
-		s.ffSetInt(o, a, b, int32(uint32(a)<<(uint32(b)&31)))
-	case execSLT:
-		s.ffSetInt(o, a, b, b2i(a < b))
-	case execSLTU:
-		s.ffSetInt(o, a, b, b2i(uint32(a) < uint32(b)))
-	case execXOR:
-		s.ffSetInt(o, a, b, a^b)
-	case execSRL:
-		s.ffSetInt(o, a, b, int32(uint32(a)>>(uint32(b)&31)))
-	case execSRA:
-		s.ffSetInt(o, a, b, a>>(uint32(b)&31))
-	case execOR:
-		s.ffSetInt(o, a, b, a|b)
-	case execAND:
-		s.ffSetInt(o, a, b, a&b)
-	case execMUL:
-		s.ffSetInt(o, a, b, a*b)
-	case execMULH:
-		s.ffSetInt(o, a, b, int32((int64(a)*int64(b))>>32))
-	case execMULHSU:
-		s.ffSetInt(o, a, b, int32((int64(a)*int64(uint64(uint32(b))))>>32))
-	case execMULHU:
-		s.ffSetInt(o, a, b, int32((uint64(uint32(a))*uint64(uint32(b)))>>32))
-	case execDIV:
-		switch {
-		case b == 0:
-			s.ffDivZero(o, pc, "integer division %d / 0", a)
-			return false
-		case a == -1<<31 && b == -1:
-			s.ffSetInt(o, a, b, -1<<31) // RISC-V overflow semantics
-		default:
-			s.ffSetInt(o, a, b, a/b)
-		}
-	case execDIVU:
-		if b == 0 {
-			s.ffDivZero(o, pc, "unsigned division %d / 0", a)
-			return false
-		}
-		s.ffSetInt(o, a, b, int32(uint32(a)/uint32(b)))
-	case execREM:
-		switch {
-		case b == 0:
-			s.ffDivZero(o, pc, "integer remainder %d %% 0", a)
-			return false
-		case a == -1<<31 && b == -1:
-			s.ffSetInt(o, a, b, 0)
-		default:
-			s.ffSetInt(o, a, b, a%b)
-		}
-	case execREMU:
-		if b == 0 {
-			s.ffDivZero(o, pc, "unsigned remainder %d %% 0", a)
-			return false
-		}
-		s.ffSetInt(o, a, b, int32(uint32(a)%uint32(b)))
-	}
-	return true
-}
-
-// ffSetInt publishes an integer result to the architectural register
-// file, running it through the same injected-bug hook as the detailed
-// specialized path so the co-simulation harness covers fused plans too.
-// An x0 (or absent) destination computes and discards, like the pipeline.
-func (s *Simulation) ffSetInt(o *ffOp, a, b, v int32) {
-	if semanticBug != nil {
-		v = semanticBug(o.static.Desc.Name, a, b, v)
-	}
-	if o.rd >= 0 {
-		s.rf.SetArchValue(isa.RegInt, int(o.rd), expr.NewInt(v))
-	}
-}
-
-// ffCheckAddr mirrors checkAddress: same bounds, same exception text, so
-// a fast-forward run and a detailed run fault with identical stories.
-func (s *Simulation) ffCheckAddr(d *isa.Desc, addr int) *fault.Exception {
-	if addr < 0 || addr+d.MemWidth > s.mem.Size() {
-		return fault.New(fault.InvalidMemoryAccess,
-			"%s accesses %d bytes at address %d outside memory of %d bytes",
-			d.Name, d.MemWidth, addr, s.mem.Size())
-	}
-	return nil
-}
-
-// ffDivZero faults with the interpreter-identical division-by-zero story.
-func (s *Simulation) ffDivZero(o *ffOp, pc int, format string, a int32) {
-	s.ffFault(fault.New(fault.DivisionByZero, format, a), pc)
+	raw, _ := s.mem.ReadRaw(addr, d.MemWidth)
+	return LoadValue(d, raw), true
 }
 
 // ffFault ends the run exactly as a detailed commit would raise the
 // exception: the faulting instruction does not count as committed.
 func (s *Simulation) ffFault(exc *fault.Exception, pc int) {
-	exc.Cycle = s.cycle
-	exc.PC = pc
 	s.fetch.pc = pc
 	s.haltWithException(exc, s.cycle)
 }
@@ -480,20 +335,14 @@ func (s *Simulation) ffGenericOp(o *ffOp, pc int) (int, bool) {
 	switch {
 	case desc.IsBranch():
 		next = si.actualTgt
-	case desc.IsLoad():
-		if exc := s.ffCheckAddr(desc, si.effAddr); exc != nil {
-			s.ffFault(exc, pc)
+	case desc.IsLoad(), desc.IsStore():
+		val, ok := s.ffMemory(desc, pc, si.effAddr, desc.IsStore(), si.storeData)
+		if !ok {
 			return 0, false
 		}
-		raw, _ := s.mem.ReadRaw(si.effAddr, desc.MemWidth)
-		si.result = LoadValue(desc, raw)
-		si.resultReady = true
-	case desc.IsStore():
-		if exc := s.ffCheckAddr(desc, si.effAddr); exc != nil {
-			s.ffFault(exc, pc)
-			return 0, false
+		if desc.IsLoad() {
+			si.result, si.resultReady = val, true
 		}
-		_ = s.mem.WriteRaw(si.effAddr, desc.MemWidth, si.storeData)
 	}
 	if si.hasDest && !desc.IsStore() {
 		// Mirror writebackDest + commit: an unassigned destination

@@ -12,19 +12,27 @@ import (
 // Specialized execution engine: at program load every static instruction's
 // semantics are compiled once into an execPlan — a compact opcode plus
 // operands pre-resolved to renamed-source slots and immediate values — so
-// the per-cycle execute path runs a direct type switch on integers instead
-// of walking the generic postfix program through string-keyed environment
+// the per-cycle execute path runs a direct switch on integers instead of
+// walking the generic postfix program through string-keyed environment
 // lookups. Anything outside the specialized RV32IM(+FP memory) subset, or
 // any instruction whose descriptor was altered by a user-loaded ISA, falls
 // back to the expression interpreter, so coverage stays total and the
 // semantics-as-data extensibility of the paper (§III-B) is preserved.
+//
+// The specialized semantics are written once, in execKernel. Two adapters
+// call it: Execute (the detailed pipeline: operands from renamed source
+// slots, outcome onto the SimInstr) and ffRunBlock in blockplan.go (fast
+// forward: operands from the architectural file, outcome back into it or
+// into memory). The expression interpreter stays a separate
+// implementation, the reference both are checked against.
 //
 // The fast path is only taken when the descriptor's expression source and
 // argument shapes match the built-in table exactly, and it relies on the
 // core's value invariant: integer-class register values always carry type
 // kInt (every writeback converts to the destination argument's declared
 // type). TestExecSpecializedMatchesInterpreter cross-checks every
-// specialized opcode against the interpreter over randomized operands.
+// specialized opcode against the interpreter over randomized operands,
+// through both adapters.
 
 // execOp is the specialized opcode of one static instruction.
 type execOp uint8
@@ -246,12 +254,22 @@ type ExecEngine struct {
 	blockEnd []int32
 }
 
-// semanticBug, when non-nil, post-processes every specialized ALU result.
-// It exists solely so the co-simulation harness can prove end-to-end that
-// an engine divergence is detected and shrunk (internal/fuzz); the
-// interpreter path never sees it, so any injected bug diverges the two
-// engines. Production runs leave it nil and pay one pointer check.
+// semanticBug, when non-nil, post-processes every value execKernel
+// computes, so it reaches the detailed and the fused fast-forward engines
+// alike. It exists solely so the co-simulation harness can prove
+// end-to-end that an engine divergence is detected and shrunk
+// (internal/fuzz); the interpreter path never sees it, so any injected bug
+// diverges the engines. Production runs leave it nil and pay one pointer
+// check.
 var semanticBug func(op string, a, b, result int32) int32
+
+// execOpName names each value-producing opcode for the semanticBug hook.
+var execOpName = func() (names [execREMU + 1]string) {
+	for name, def := range specTable {
+		names[def.op] = name // shared opcodes (loads, stores, nops) never reach the hook
+	}
+	return names
+}()
 
 // SetSemanticBugForTesting installs (nil clears) the specialized-path
 // result corruption hook. Test-only: not safe to toggle while simulations
@@ -274,25 +292,12 @@ func newExecEngine(prog *asm.Program) *ExecEngine {
 	return e
 }
 
-// setResult buffers a computed destination value exactly as the
-// interpreter's `=` would: converted to the declared kInt operand type.
-func setResult(si *SimInstr, v int32) {
-	si.result = expr.NewInt(v)
-	si.resultReady = true
-}
-
-// divZero attaches the interpreter-identical division-by-zero exception.
-func divZero(si *SimInstr, now uint64, format string, a int32) {
-	exc := fault.New(fault.DivisionByZero, format, a)
-	exc.Cycle = now
-	exc.PC = si.PC
-	si.Exc = exc
-}
-
 // Execute evaluates the instruction's semantics against its captured
 // operands, leaving results, branch outcomes, effective addresses, store
 // payloads and exceptions on the instruction — the compute half of the
-// functional-unit model (paper §III-A).
+// functional-unit model (paper §III-A). It is the detailed adapter of
+// execKernel: operands come from the renamed source slots and the
+// outcome lands on the SimInstr.
 func (e *ExecEngine) Execute(si *SimInstr, now uint64) {
 	p := &e.plans[si.PC]
 	if e.forceGeneric || p.op == execFallback {
@@ -301,120 +306,193 @@ func (e *ExecEngine) Execute(si *SimInstr, now uint64) {
 	}
 	var a, b int32
 	if p.rs1 >= 0 {
-		a = si.srcs[p.rs1].value.Int()
+		a = intOperand(si.srcs[p.rs1].value)
 	}
 	if p.rs2 >= 0 && p.op != execStoreAddr {
-		b = si.srcs[p.rs2].value.Int()
+		b = intOperand(si.srcs[p.rs2].value)
 	}
-	switch p.op {
+	v, next, k := execKernel(p.op, a, b, p.imm, si.PC, p.tgt)
+	switch k {
+	case outValue, outJump:
+		// Buffered exactly as the interpreter's `=` would: converted to
+		// the declared kInt operand type.
+		si.result, si.resultReady = expr.NewInt(v), true
+		if k == outJump {
+			finishBranch(si, true, next)
+		}
+	case outBranch:
+		finishBranch(si, v != 0, next)
+	case outAddr:
+		si.effAddr = int(v)
+		if p.op == execStoreAddr {
+			si.storeData = si.srcs[p.rs2].value.Bits()
+		}
+	case outDivZero:
+		si.Exc = divZeroFault(p.op, v, si.PC, now)
+	}
+}
+
+// intOperand reads a register value as an int32 kernel operand. The kInt
+// values integer registers carry (the value invariant stated at the top
+// of this file) are read straight from their bits, inline; any other type
+// takes the full conversion.
+func intOperand(v expr.Value) int32 {
+	if v.Type() == expr.Int {
+		return int32(uint32(v.Bits()))
+	}
+	return v.Int()
+}
+
+// execOutcome classifies what execKernel computed.
+type execOutcome uint8
+
+const (
+	outValue   execOutcome = iota // v is the destination value
+	outJump                       // v is the link value; control goes to next
+	outBranch                     // v is 1 when taken, 0 when not; control goes to next
+	outAddr                       // v is the load/store effective address
+	outDivZero                    // division by zero; v is the dividend
+	outNone                       // no effect (fence, ecall, ebreak)
+)
+
+// execKernel is the RV32IM integer semantics of every specialized
+// opcode, shared by the detailed pipeline (Execute) and the fused
+// fast-forward blocks (ffRunBlock); each adapter only sources the
+// operands and sinks the outcome. next is the successor PC: the target
+// of a jump or taken branch, pc+1 otherwise. It is deliberately one call
+// returning scalars — a fused op pays for exactly this call.
+func execKernel(op execOp, a, b, imm int32, pc, tgt int) (v int32, next int, k execOutcome) {
+	next = pc + 1
+	switch op {
 	case execNop:
+		return 0, next, outNone
 	case execLUI:
-		setResult(si, p.imm<<12)
+		v = imm << 12
 	case execAUIPC:
-		setResult(si, p.imm<<12+int32(si.PC))
+		v = imm<<12 + int32(pc)
 	case execJAL:
-		setResult(si, int32(si.PC)+1)
-		finishBranch(si, true, p.tgt)
+		v, next, k = int32(pc)+1, tgt, outJump
 	case execJALR:
-		setResult(si, int32(si.PC)+1)
-		finishBranch(si, true, int(a+p.imm))
+		v, next, k = int32(pc)+1, int(a+imm), outJump
 	case execBEQ:
-		finishBranch(si, a == b, p.tgt)
+		return branchTo(a == b, pc, tgt)
 	case execBNE:
-		finishBranch(si, a != b, p.tgt)
+		return branchTo(a != b, pc, tgt)
 	case execBLT:
-		finishBranch(si, a < b, p.tgt)
+		return branchTo(a < b, pc, tgt)
 	case execBGE:
-		finishBranch(si, a >= b, p.tgt)
+		return branchTo(a >= b, pc, tgt)
 	case execBLTU:
-		finishBranch(si, uint32(a) < uint32(b), p.tgt)
+		return branchTo(uint32(a) < uint32(b), pc, tgt)
 	case execBGEU:
-		finishBranch(si, uint32(a) >= uint32(b), p.tgt)
-	case execLoadAddr:
-		si.effAddr = int(a + p.imm)
-	case execStoreAddr:
-		si.effAddr = int(a + p.imm)
-		si.storeData = si.srcs[p.rs2].value.Bits()
+		return branchTo(uint32(a) >= uint32(b), pc, tgt)
+	case execLoadAddr, execStoreAddr:
+		return a + imm, next, outAddr
 	case execADDI:
-		setResult(si, a+p.imm)
+		v = a + imm
 	case execSLTI:
-		setResult(si, b2i(a < p.imm))
+		v = b2i(a < imm)
 	case execSLTIU:
-		setResult(si, b2i(uint32(a) < uint32(p.imm)))
+		v = b2i(uint32(a) < uint32(imm))
 	case execXORI:
-		setResult(si, a^p.imm)
+		v = a ^ imm
 	case execORI:
-		setResult(si, a|p.imm)
+		v = a | imm
 	case execANDI:
-		setResult(si, a&p.imm)
+		v = a & imm
 	case execSLLI:
-		setResult(si, int32(uint32(a)<<(uint32(p.imm)&31)))
+		v = int32(uint32(a) << (uint32(imm) & 31))
 	case execSRLI:
-		setResult(si, int32(uint32(a)>>(uint32(p.imm)&31)))
+		v = int32(uint32(a) >> (uint32(imm) & 31))
 	case execSRAI:
-		setResult(si, a>>(uint32(p.imm)&31))
+		v = a >> (uint32(imm) & 31)
 	case execADD:
-		setResult(si, a+b)
+		v = a + b
 	case execSUB:
-		setResult(si, a-b)
+		v = a - b
 	case execSLL:
-		setResult(si, int32(uint32(a)<<(uint32(b)&31)))
+		v = int32(uint32(a) << (uint32(b) & 31))
 	case execSLT:
-		setResult(si, b2i(a < b))
+		v = b2i(a < b)
 	case execSLTU:
-		setResult(si, b2i(uint32(a) < uint32(b)))
+		v = b2i(uint32(a) < uint32(b))
 	case execXOR:
-		setResult(si, a^b)
+		v = a ^ b
 	case execSRL:
-		setResult(si, int32(uint32(a)>>(uint32(b)&31)))
+		v = int32(uint32(a) >> (uint32(b) & 31))
 	case execSRA:
-		setResult(si, a>>(uint32(b)&31))
+		v = a >> (uint32(b) & 31)
 	case execOR:
-		setResult(si, a|b)
+		v = a | b
 	case execAND:
-		setResult(si, a&b)
+		v = a & b
 	case execMUL:
-		setResult(si, a*b)
+		v = a * b
 	case execMULH:
-		setResult(si, int32((int64(a)*int64(b))>>32))
+		v = int32((int64(a) * int64(b)) >> 32)
 	case execMULHSU:
-		setResult(si, int32((int64(a)*int64(uint64(uint32(b))))>>32))
+		v = int32((int64(a) * int64(uint64(uint32(b)))) >> 32)
 	case execMULHU:
-		setResult(si, int32((uint64(uint32(a))*uint64(uint32(b)))>>32))
+		v = int32((uint64(uint32(a)) * uint64(uint32(b))) >> 32)
 	case execDIV:
 		switch {
 		case b == 0:
-			divZero(si, now, "integer division %d / 0", a)
+			return a, next, outDivZero
 		case a == math.MinInt32 && b == -1:
-			setResult(si, math.MinInt32) // RISC-V overflow semantics
+			v = math.MinInt32 // RISC-V overflow semantics
 		default:
-			setResult(si, a/b)
-		}
-	case execDIVU:
-		if b == 0 {
-			divZero(si, now, "unsigned division %d / 0", a)
-		} else {
-			setResult(si, int32(uint32(a)/uint32(b)))
+			v = a / b
 		}
 	case execREM:
 		switch {
 		case b == 0:
-			divZero(si, now, "integer remainder %d %% 0", a)
+			return a, next, outDivZero
 		case a == math.MinInt32 && b == -1:
-			setResult(si, 0)
+			v = 0
 		default:
-			setResult(si, a%b)
+			v = a % b
 		}
+	case execDIVU:
+		if b == 0 {
+			return a, next, outDivZero
+		}
+		v = int32(uint32(a) / uint32(b))
 	case execREMU:
 		if b == 0 {
-			divZero(si, now, "unsigned remainder %d %% 0", a)
-		} else {
-			setResult(si, int32(uint32(a)%uint32(b)))
+			return a, next, outDivZero
 		}
+		v = int32(uint32(a) % uint32(b))
 	}
-	if semanticBug != nil && si.resultReady {
-		setResult(si, semanticBug(si.Static.Desc.Name, a, b, si.result.Int()))
+	if semanticBug != nil {
+		v = semanticBug(execOpName[op], a, b, v)
 	}
+	return v, next, k
+}
+
+// branchTo resolves a conditional branch for execKernel.
+func branchTo(taken bool, pc, tgt int) (int32, int, execOutcome) {
+	if taken {
+		return 1, tgt, outBranch
+	}
+	return 0, pc + 1, outBranch
+}
+
+// divZeroFormat words the division-by-zero fault of each divide exactly
+// like the interpreter (the paper traps where the RISC-V spec would
+// return a value).
+var divZeroFormat = [...]string{
+	execDIV:  "integer division %d / 0",
+	execDIVU: "unsigned division %d / 0",
+	execREM:  "integer remainder %d %% 0",
+	execREMU: "unsigned remainder %d %% 0",
+}
+
+// divZeroFault is the exception of an outDivZero outcome; a is the dividend.
+func divZeroFault(op execOp, a int32, pc int, now uint64) *fault.Exception {
+	exc := fault.New(fault.DivisionByZero, divZeroFormat[op], a)
+	exc.Cycle = now
+	exc.PC = pc
+	return exc
 }
 
 func b2i(b bool) int32 {

@@ -14,9 +14,11 @@ import (
 
 // ---------------------------------------------------------------------------
 // Specialization seam: every specialized opcode must match the expression
-// interpreter bit for bit, across randomized operands (the fallback and
-// the fast path implement the same semantics by construction, and this
-// property test keeps them from drifting).
+// interpreter bit for bit, across randomized operands, through both
+// adapters of the semantics kernel — the detailed Execute and the fused
+// fast-forward block (the fallback and the fast path implement the same
+// semantics by construction, and this property test keeps them from
+// drifting).
 // ---------------------------------------------------------------------------
 
 // buildInstr assembles a tiny program around one instance of the mnemonic
@@ -65,6 +67,77 @@ func prepInstr(in *asm.Instruction, c *execCase) *SimInstr {
 	si.predTarget = c.predTarget
 	si.predStall = c.predStall
 	return si
+}
+
+// checkFastForward runs one case through the fused fast-forward block of a
+// fresh copy of base (a program whose first block is the one instruction
+// under test) and compares the architectural outcome with the
+// interpreter's: destination value (register, or memory for a store),
+// next PC and exception text. Memory accesses are bounds-checked at
+// commit in the detailed pipeline, so an out-of-bounds interpreter
+// address expects that same fault.
+func checkFastForward(t *testing.T, name string, base *Simulation, c *execCase, slow *SimInstr) {
+	t.Helper()
+	sim, err := base.Fresh()
+	if err != nil {
+		t.Fatalf("Fresh: %v", err)
+	}
+	const pattern = 0x0123456789abcdef // negative low byte and half: exercises sign extension
+	in := sim.prog.Instructions[0]
+	d := in.Desc
+	rp := &sim.eng.rplans[0]
+	for i := 0; i < int(rp.nsrc); i++ {
+		sim.rf.SetArchValue(rp.srcs[i].class, int(rp.srcs[i].reg), expr.NewInt(c.vals[i]))
+	}
+	wantExc := slow.Exc
+	if d.IsLoad() || d.IsStore() {
+		if !wantExc.Occurred() {
+			wantExc = sim.checkAddress(d, slow.effAddr, in.Index, 0)
+		}
+		if !wantExc.Occurred() {
+			_ = sim.mem.WriteRaw(slow.effAddr, d.MemWidth, pattern)
+		}
+	}
+
+	sim.Step()
+
+	gotExc := sim.Exception()
+	if gotExc.Occurred() != wantExc.Occurred() ||
+		(gotExc.Occurred() && gotExc.Error() != wantExc.Error()) {
+		t.Errorf("%s %v [fast-forward]: exception %v, want %v", name, c.vals, gotExc, wantExc)
+		return
+	}
+	wantNext := in.Index + 1
+	switch {
+	case wantExc.Occurred():
+		wantNext = in.Index // the faulting instruction does not commit
+	case d.IsBranch():
+		wantNext = slow.actualTgt
+	}
+	if sim.PC() != wantNext {
+		t.Errorf("%s %v [fast-forward]: next PC %d, want %d", name, c.vals, sim.PC(), wantNext)
+	}
+	if wantExc.Occurred() {
+		return
+	}
+	var want expr.Value
+	switch {
+	case d.IsStore():
+		raw, _ := sim.mem.ReadRaw(slow.effAddr, d.MemWidth)
+		if mask := uint64(1)<<(8*d.MemWidth) - 1; raw != slow.storeData&mask {
+			t.Errorf("%s %v [fast-forward]: stored %#x, want %#x", name, c.vals, raw, slow.storeData&mask)
+		}
+		return
+	case d.IsLoad():
+		want = LoadValue(d, pattern&(uint64(1)<<(8*d.MemWidth)-1))
+	case slow.resultReady:
+		want = slow.result
+	default:
+		return
+	}
+	if got := sim.rf.ArchValue(rp.destClass, int(rp.destReg)); got != want {
+		t.Errorf("%s %v [fast-forward]: destination %v, want %v", name, c.vals, got, want)
+	}
 }
 
 // compareOutcomes fails the test when the specialized and generic
@@ -186,6 +259,8 @@ func TestExecSpecializedMatchesInterpreter(t *testing.T) {
 			fastEng.plans[in.Index] = plan
 			slowEng := &ExecEngine{plans: make([]execPlan, in.Index+1), ev: expr.NewEvaluator()}
 			// slowEng's plans stay execFallback: the generic interpreter.
+			ffBase := buildSim(t, config.Default(), src)
+			ffBase.SetEngineMode(EngineFastForward)
 
 			const rounds = 300
 			for round := 0; round < rounds; round++ {
@@ -204,6 +279,7 @@ func TestExecSpecializedMatchesInterpreter(t *testing.T) {
 				fastEng.Execute(fast, now)
 				slowEng.Execute(slow, now)
 				compareOutcomes(t, name, c, fast, slow)
+				checkFastForward(t, name, ffBase, c, slow)
 			}
 		})
 	}

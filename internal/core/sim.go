@@ -459,11 +459,7 @@ func (s *Simulation) commitStep(now uint64) {
 			return
 		}
 		if si.Static.Desc.Halts {
-			s.halted = true
-			s.haltReason = fmt.Sprintf("%s executed (the simulator runs no OS; environment calls end the program)", si.Static.Desc.Name)
-			s.logf(now, "halt: %s", s.haltReason)
-			s.lsu.DrainAll(now)
-			s.l1.FlushAll(now)
+			s.haltOnEnvCall(si.Static.Desc.Name, now)
 			return
 		}
 		// A committed non-store is referenced by nothing anymore (its ROB
@@ -559,7 +555,9 @@ func (s *Simulation) completeInstr(si *SimInstr, now uint64) {
 			// memory unit (it stays in the load buffer).
 			si.addrReady = true
 			si.Phase = PhaseMemory
-			s.checkAddress(si, now)
+			if exc := s.checkAddress(desc, si.effAddr, si.PC, now); exc != nil {
+				si.Exc = exc
+			}
 			if si.Exc.Occurred() {
 				// AGU fault: complete immediately, raise at commit.
 				si.memIssued = true
@@ -567,7 +565,9 @@ func (s *Simulation) completeInstr(si *SimInstr, now uint64) {
 			}
 		case desc.IsStore():
 			si.addrReady = true
-			s.checkAddress(si, now)
+			if exc := s.checkAddress(desc, si.effAddr, si.PC, now); exc != nil {
+				si.Exc = exc
+			}
 			s.rob.MarkDone(si)
 			si.Phase = PhaseDone
 		default:
@@ -579,17 +579,19 @@ func (s *Simulation) completeInstr(si *SimInstr, now uint64) {
 }
 
 // checkAddress validates a computed effective address against the memory
-// capacity so that accesses to unauthorized addresses raise at the
-// instruction's own commit (paper §III-B).
-func (s *Simulation) checkAddress(si *SimInstr, now uint64) {
-	w := si.Static.Desc.MemWidth
-	if si.effAddr < 0 || si.effAddr+w > s.mem.Size() {
-		si.Exc = fault.New(fault.InvalidMemoryAccess,
-			"%s accesses %d bytes at address %d outside memory of %d bytes",
-			si.Static.Desc.Name, w, si.effAddr, s.mem.Size())
-		si.Exc.Cycle = now
-		si.Exc.PC = si.PC
+// capacity, returning the exception an access outside it raises at the
+// instruction's own commit (paper §III-B). Both engines use it, so a
+// detailed and a fast-forward run fault with the same story.
+func (s *Simulation) checkAddress(d *isa.Desc, addr, pc int, now uint64) *fault.Exception {
+	if addr >= 0 && addr+d.MemWidth <= s.mem.Size() {
+		return nil
 	}
+	exc := fault.New(fault.InvalidMemoryAccess,
+		"%s accesses %d bytes at address %d outside memory of %d bytes",
+		d.Name, d.MemWidth, addr, s.mem.Size())
+	exc.Cycle = now
+	exc.PC = pc
+	return exc
 }
 
 // writebackDest publishes the computed result to the rename file; faulting
@@ -819,11 +821,28 @@ func (s *Simulation) checkPipelineEmpty(now uint64) {
 		return
 	}
 	if s.fetch.AtEnd() && len(s.pendingDecode()) == 0 && s.rob.Empty() && s.lsu.Drained() {
-		s.halted = true
-		s.haltReason = "pipeline empty"
-		s.logf(now, "halt: pipeline empty after %d committed instructions", s.committedCount)
-		s.l1.FlushAll(now)
+		s.haltPipelineEmpty(now)
 	}
+}
+
+// haltPipelineEmpty ends a run whose code ran out: the entry routine
+// returned to the sentinel address and nothing is left in flight.
+func (s *Simulation) haltPipelineEmpty(now uint64) {
+	s.halted = true
+	s.haltReason = "pipeline empty"
+	s.logf(now, "halt: pipeline empty after %d committed instructions", s.committedCount)
+	s.l1.FlushAll(now)
+}
+
+// haltOnEnvCall ends a run at a committed halting instruction (ecall,
+// ebreak). Committed stores still parked in the store buffer are
+// architecturally performed, so they drain before the final flush.
+func (s *Simulation) haltOnEnvCall(name string, now uint64) {
+	s.halted = true
+	s.haltReason = fmt.Sprintf("%s executed (the simulator runs no OS; environment calls end the program)", name)
+	s.logf(now, "halt: %s", s.haltReason)
+	s.lsu.DrainAll(now)
+	s.l1.FlushAll(now)
 }
 
 // ---------------------------------------------------------------------------
