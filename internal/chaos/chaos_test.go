@@ -1,6 +1,9 @@
 package chaos
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -102,6 +105,29 @@ func TestChaosCampaignInvariantsHold(t *testing.T) {
 		if res.Outcomes["ok"] == 0 {
 			t.Fatalf("seed %d: no operation succeeded — harness is not exercising the tier (%v)", seed, res.Outcomes)
 		}
+	}
+}
+
+// TestFaultMiddlewareExemptsHealthProbes: with every connection
+// dropped, the router's health probe path still passes through clean
+// while API traffic is cut.
+func TestFaultMiddlewareExemptsHealthProbes(t *testing.T) {
+	plan := NewPlan(Config{Seed: 1, NetDrop: 1})
+	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ok") })
+	ts := httptest.NewServer(faultMiddleware(plan, "sim1", ok))
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + api.V1Prefix + "/health")
+	if err != nil {
+		t.Fatalf("health probe got a fault: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("health probe status %d, want 200", resp.StatusCode)
+	}
+	if resp, err := http.Post(ts.URL+api.V1Prefix+"/simulate", api.MediaTypeJSON, strings.NewReader(`{}`)); err == nil {
+		resp.Body.Close()
+		t.Errorf("simulate passed a NetDrop=1 plan with status %d", resp.StatusCode)
 	}
 }
 

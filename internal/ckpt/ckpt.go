@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"io"
 
@@ -29,7 +30,15 @@ const Magic = "RVSC"
 
 // Version is the current format version. Decoders reject newer versions;
 // older versions may be migrated in place when the layout allows it.
-const Version = 1
+// Version 2 added the body CRC (BodyCRCVersion) before the footer.
+const Version = 2
+
+// BodyCRCVersion is the first format version that carries a CRC-32C of
+// every byte before it, written just ahead of the footer.
+const BodyCRCVersion = 2
+
+// castagnoli is the CRC-32C table Writer.Sum and Reader.Sum run on.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // FooterMagic terminates a checkpoint so tail truncation is detectable
 // even when every section happened to decode.
@@ -92,6 +101,7 @@ const MaxSliceLen = 1 << 26 // 64 Mi elements
 type Writer struct {
 	w       io.Writer
 	scratch [binary.MaxVarintLen64]byte
+	crc     uint32
 	err     error
 }
 
@@ -112,11 +122,15 @@ func (w *Writer) Failf(format string, args ...any) {
 	}
 }
 
+// Sum returns the CRC-32C of every byte written so far.
+func (w *Writer) Sum() uint32 { return w.crc }
+
 // Raw writes b without a length prefix.
 func (w *Writer) Raw(b []byte) {
 	if w.err != nil {
 		return
 	}
+	w.crc = crc32.Update(w.crc, castagnoli, b)
 	_, w.err = w.w.Write(b)
 }
 
@@ -155,6 +169,12 @@ func (w *Writer) Len(n int) { w.U64(uint64(n)) }
 func (w *Writer) Fixed64(v uint64) {
 	binary.LittleEndian.PutUint64(w.scratch[:8], v)
 	w.Raw(w.scratch[:8])
+}
+
+// Fixed32 writes 4 little-endian bytes (the body CRC).
+func (w *Writer) Fixed32(v uint32) {
+	binary.LittleEndian.PutUint32(w.scratch[:4], v)
+	w.Raw(w.scratch[:4])
 }
 
 // Bytes writes a length-prefixed byte string.
@@ -198,11 +218,29 @@ func (w *Writer) Exception(e *fault.Exception) {
 // ErrTruncated, any malformed length or tag as ErrCorrupt.
 type Reader struct {
 	r   *bufio.Reader
+	crc uint32
 	err error
 }
 
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
+
+// Sum returns the CRC-32C of every byte consumed so far.
+func (r *Reader) Sum() uint32 { return r.crc }
+
+// ReadByte reads one byte into the running CRC; it is the io.ByteReader
+// the varint decoders consume. A source error latches as the Reader's
+// error.
+func (r *Reader) ReadByte() (byte, error) {
+	b, err := r.r.ReadByte()
+	if err != nil {
+		r.fail(err)
+		return 0, err
+	}
+	// One table step of crc32.Update, without its per-call dispatch.
+	r.crc = ^(castagnoli[byte(^r.crc)^b] ^ (^r.crc >> 8))
+	return b, nil
+}
 
 // Err returns the first decode error, or nil.
 func (r *Reader) Err() error { return r.err }
@@ -231,7 +269,8 @@ func (r *Reader) Raw(b []byte) {
 	if r.err != nil {
 		return
 	}
-	_, err := io.ReadFull(r.r, b)
+	n, err := io.ReadFull(r.r, b)
+	r.crc = crc32.Update(r.crc, castagnoli, b[:n])
 	r.fail(err)
 }
 
@@ -240,8 +279,7 @@ func (r *Reader) Byte() byte {
 	if r.err != nil {
 		return 0
 	}
-	b, err := r.r.ReadByte()
-	r.fail(err)
+	b, _ := r.ReadByte()
 	return b
 }
 
@@ -253,8 +291,12 @@ func (r *Reader) U64() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(r.r)
-	r.fail(err)
+	v, err := binary.ReadUvarint(r)
+	if err != nil {
+		// Source errors already latched in ReadByte; this one is an
+		// over-long varint.
+		r.Corrupt("%v", err)
+	}
 	return v
 }
 
@@ -263,8 +305,10 @@ func (r *Reader) I64() int64 {
 	if r.err != nil {
 		return 0
 	}
-	v, err := binary.ReadVarint(r.r)
-	r.fail(err)
+	v, err := binary.ReadVarint(r)
+	if err != nil {
+		r.Corrupt("%v", err)
+	}
 	return v
 }
 
@@ -279,6 +323,16 @@ func (r *Reader) Fixed64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b[:])
+}
+
+// Fixed32 reads 4 little-endian bytes.
+func (r *Reader) Fixed32() uint32 {
+	var b [4]byte
+	r.Raw(b[:])
+	if r.err != nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(b[:])
 }
 
 // Len reads a length prefix, validating it against max (and the global

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"testing"
 
 	"riscvsim/internal/expr"
@@ -20,6 +21,7 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	w.I64(-42)
 	w.Int(12345)
 	w.Fixed64(0xDEADBEEFCAFEF00D)
+	w.Fixed32(0xFEEDC0DE)
 	w.Bytes([]byte{1, 2, 3})
 	w.String("hello")
 	w.Section(SecCore)
@@ -52,6 +54,9 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	if got := r.Fixed64(); got != 0xDEADBEEFCAFEF00D {
 		t.Errorf("Fixed64 = %x", got)
 	}
+	if got := r.Fixed32(); got != 0xFEEDC0DE {
+		t.Errorf("Fixed32 = %x", got)
+	}
 	if got := r.Bytes(10); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Errorf("Bytes = %v", got)
 	}
@@ -71,6 +76,11 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	}
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
+	}
+	// Both sides keep the CRC-32C of exactly the bytes they processed.
+	want := crc32.Checksum(buf.Bytes(), crc32.MakeTable(crc32.Castagnoli))
+	if w.Sum() != want || r.Sum() != want {
+		t.Errorf("Sum: writer %08x, reader %08x, want %08x", w.Sum(), r.Sum(), want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"time"
 
@@ -23,15 +22,7 @@ const (
 // flushed through the gzip middleware (which implements http.Flusher
 // passthrough) so events arrive as they happen.
 func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() {
-		s.reqCount.Add(1)
-		s.totalNs.Add(uint64(time.Since(start)))
-	}()
-
-	reqCodec, respCodec := api.Negotiate(r.Header.Get("Content-Type"), r.Header.Get("Accept"))
-	r = r.WithContext(context.WithValue(r.Context(), reqCodecKey{}, reqCodec))
-
+	defer s.account(time.Now())
 	var req api.StreamRequest
 	if aerr := s.decode(w, r, &req); aerr != nil {
 		s.writeError(w, aerr)
@@ -56,35 +47,7 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		maxEvents = defaultMaxStreamEvents
 	}
 
-	w.Header().Set("Content-Type", api.MediaTypeNDJSON)
-	w.Header().Set("X-Codec", respCodec.Name())
-	// Front proxies must not buffer the stream (nginx honours this).
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	writeEvent := func(ev *api.StreamEvent) bool {
-		buf := api.GetBuffer()
-		defer api.PutBuffer(buf)
-		jstart := time.Now()
-		err := respCodec.Encode(buf, ev)
-		s.addCodecTime(respCodec.Name(), time.Since(jstart), true)
-		if err != nil {
-			return false
-		}
-		if b := buf.Bytes(); len(b) == 0 || b[len(b)-1] != '\n' {
-			buf.WriteByte('\n')
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		s.streamEvents.Add(1)
-		return true
-	}
-
+	out := s.startNDJSON(w)
 	ctx := r.Context()
 	seq := 0
 	var stepped uint64
@@ -114,7 +77,7 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		if req.IncludeState {
 			ev.State = m.State(false)
 		}
-		if !writeEvent(ev) {
+		if !out.line(ev, true) {
 			return
 		}
 		seq++
@@ -131,5 +94,54 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	if req.IncludeState {
 		final.State = m.State(req.IncludeLog)
 	}
-	writeEvent(final)
+	out.line(final, true)
+}
+
+// ndjsonWriter is the NDJSON endpoints' line writer: one JSON document
+// per line, its encode time booked into jsonNs, newline-terminated,
+// optionally flushed (through the gzip middleware's http.Flusher
+// passthrough), and counted in streamEvents.
+type ndjsonWriter struct {
+	s       *Server
+	w       http.ResponseWriter
+	flusher http.Flusher
+}
+
+// startNDJSON commits a 200 NDJSON response and returns its line writer.
+// Errors found before this point go out as a regular error envelope.
+func (s *Server) startNDJSON(w http.ResponseWriter) *ndjsonWriter {
+	w.Header().Set("Content-Type", api.MediaTypeNDJSON)
+	// Front proxies must not buffer the stream (nginx honours this).
+	w.Header().Set("X-Accel-Buffering", "no")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	return &ndjsonWriter{s: s, w: w, flusher: flusher}
+}
+
+// line writes v as one line, reporting false once the stream is dead.
+func (nw *ndjsonWriter) line(v any, flush bool) bool {
+	buf := api.GetBuffer()
+	defer api.PutBuffer(buf)
+	jstart := time.Now()
+	err := api.JSONCodec.Encode(buf, v)
+	nw.s.jsonNs.Add(uint64(time.Since(jstart)))
+	if err != nil {
+		return false
+	}
+	buf.WriteByte('\n')
+	if _, err := nw.w.Write(buf.Bytes()); err != nil {
+		return false
+	}
+	if flush {
+		nw.flush()
+	}
+	nw.s.streamEvents.Add(1)
+	return true
+}
+
+// flush pushes buffered lines to the client.
+func (nw *ndjsonWriter) flush() {
+	if nw.flusher != nil {
+		nw.flusher.Flush()
+	}
 }

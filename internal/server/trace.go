@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"strconv"
 	"time"
@@ -52,15 +51,7 @@ func (t *burstTracer) Trace(ev trace.StageEvent) {
 // event passing the stage/PC filters, then a final summary line. The
 // web client's pipeline view and the CLI's -trace remote mode consume it.
 func (s *Server) handleSessionTrace(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() {
-		s.reqCount.Add(1)
-		s.totalNs.Add(uint64(time.Since(start)))
-	}()
-
-	reqCodec, respCodec := api.Negotiate(r.Header.Get("Content-Type"), r.Header.Get("Accept"))
-	r = r.WithContext(context.WithValue(r.Context(), reqCodecKey{}, reqCodec))
-
+	defer s.account(time.Now())
 	var req api.TraceStreamRequest
 	if aerr := s.decode(w, r, &req); aerr != nil {
 		s.writeError(w, aerr)
@@ -116,34 +107,7 @@ func (s *Server) handleSessionTrace(w http.ResponseWriter, r *http.Request) {
 	collector := &burstTracer{filter: filter, keep: maxEvents + 1}
 	m.SetTracer(collector)
 
-	w.Header().Set("Content-Type", api.MediaTypeNDJSON)
-	w.Header().Set("X-Codec", respCodec.Name())
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	writeLine := func(ev *api.TraceStreamEvent, flush bool) bool {
-		buf := api.GetBuffer()
-		defer api.PutBuffer(buf)
-		jstart := time.Now()
-		err := respCodec.Encode(buf, ev)
-		s.addCodecTime(respCodec.Name(), time.Since(jstart), true)
-		if err != nil {
-			return false
-		}
-		if b := buf.Bytes(); len(b) == 0 || b[len(b)-1] != '\n' {
-			buf.WriteByte('\n')
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return false
-		}
-		if flush && flusher != nil {
-			flusher.Flush()
-		}
-		s.streamEvents.Add(1)
-		return true
-	}
-
+	out := s.startNDJSON(w)
 	ctx := r.Context()
 	seq := 0
 	truncated := false
@@ -165,15 +129,13 @@ func (s *Server) handleSessionTrace(w http.ResponseWriter, r *http.Request) {
 				truncated = true
 				break
 			}
-			if !writeLine(&api.TraceStreamEvent{Seq: seq, Event: &collector.buf[i]}, false) {
+			if !out.line(&api.TraceStreamEvent{Seq: seq, Event: &collector.buf[i]}, false) {
 				return
 			}
 			seq++
 		}
 		collector.buf = collector.buf[:0]
-		if flusher != nil {
-			flusher.Flush()
-		}
+		out.flush()
 		if truncated {
 			// Event cap: finish the run streaming nothing further, but
 			// keep the collector attached in count-only mode so the
@@ -190,7 +152,7 @@ func (s *Server) handleSessionTrace(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	writeLine(&api.TraceStreamEvent{
+	out.line(&api.TraceStreamEvent{
 		Seq:        seq,
 		Done:       true,
 		Cycle:      m.Cycle(),

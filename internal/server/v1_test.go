@@ -1,16 +1,14 @@
 package server
 
 // Tests of the versioned /api/v1 surface: the error envelope's stable
-// codes, the batch and streaming endpoints, codec negotiation and
-// per-codec metrics, and the deprecated legacy aliases. The pre-v1 suite
-// in server_test.go runs unchanged against the aliases.
+// codes, the batch and streaming endpoints, the one JSON encoding, and
+// the absence of the retired pre-v1 flat paths.
 
 import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -63,14 +61,13 @@ func TestV1MethodScoping(t *testing.T) {
 	}
 }
 
+// TestLegacyAliasesCarryDeprecationHeaders: the pre-v1 flat paths are
+// retired; every endpoint lives only under /api/v1.
 func TestLegacyAliasesCarryDeprecationHeaders(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, _ := postJSON(t, ts.URL+"/simulate", &api.SimulateRequest{Code: tinyProgram})
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy alias missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/api/v1/simulate") {
-		t.Errorf("legacy alias Link = %q, want successor-version pointer", link)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /simulate: status %d, want 404 (flat paths retired)", resp.StatusCode)
 	}
 }
 
@@ -377,71 +374,40 @@ func TestStreamThroughGzip(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Codec negotiation and per-codec metrics
+// One encoding
 // ---------------------------------------------------------------------------
 
-func postWithCodec(t *testing.T, url, codec string, body any) (*http.Response, []byte) {
-	t.Helper()
-	data, err := json.Marshal(body)
+// TestPerCodecMetrics: clients that still ask for the retired pooled
+// codec ("application/json; codec=pooled" on Content-Type and Accept)
+// get exactly the bytes a plain application/json request gets.
+func TestPerCodecMetrics(t *testing.T) {
+	_, ts := newTestServer(t)
+	doc := &api.SimulateRequest{Code: tinyProgram, IncludeState: true}
+	_, plain := postJSON(t, ts.URL+"/api/v1/simulate", doc)
+
+	data, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt := fmt.Sprintf("%s; %s=%s", api.MediaTypeJSON, api.CodecParam, codec)
-	req, _ := http.NewRequest(http.MethodPost, url, bytes.NewReader(data))
-	req.Header.Set("Content-Type", mt)
-	req.Header.Set("Accept", mt)
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/api/v1/simulate", bytes.NewReader(data))
+	req.Header.Set("Content-Type", "application/json; codec=pooled")
+	req.Header.Set("Accept", "application/json; codec=pooled")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _ := io.ReadAll(resp.Body)
+	pooled, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	return resp, out
-}
-
-func TestPerCodecMetrics(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.ResetMetrics()
-
-	// Default (no codec param) exercises the json codec...
-	postJSON(t, ts.URL+"/api/v1/simulate", &api.SimulateRequest{Code: tinyProgram, IncludeState: true})
-	// ...and codec=pooled exercises the pooled codec.
-	resp, body := postWithCodec(t, ts.URL+"/api/v1/simulate", "pooled",
-		&api.SimulateRequest{Code: tinyProgram, IncludeState: true})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pooled-codec request failed: %d %s", resp.StatusCode, body)
+		t.Fatalf("codec=pooled request failed: %d %s", resp.StatusCode, pooled)
 	}
-	if got := resp.Header.Get("X-Codec"); got != "pooled" {
-		t.Errorf("X-Codec = %q, want pooled", got)
-	}
-	var sr api.SimulateResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatalf("pooled codec broke the wire format: %v", err)
-	}
-
-	m := srv.Metrics()
-	for _, name := range []string{"json", "pooled"} {
-		cm, ok := m.Codecs[name]
-		if !ok {
-			t.Fatalf("metrics missing codec %q: %+v", name, m.Codecs)
-		}
-		if cm.EncodeNanos == 0 || cm.DecodeNanos == 0 {
-			t.Errorf("codec %q unmeasured: %+v", name, cm)
-		}
-		if cm.Share <= 0 || cm.Share >= 1 {
-			t.Errorf("codec %q share = %v, want in (0,1)", name, cm.Share)
-		}
-	}
-	// The aggregate jsonNs must cover both codecs.
-	sum := m.Codecs["json"].EncodeNanos + m.Codecs["json"].DecodeNanos +
-		m.Codecs["pooled"].EncodeNanos + m.Codecs["pooled"].DecodeNanos
-	if m.JSONNanos < sum {
-		t.Errorf("aggregate JSONNanos %d below per-codec sum %d", m.JSONNanos, sum)
+	if !bytes.Equal(pooled, plain) {
+		t.Errorf("codec=pooled response differs from plain:\npooled: %s\nplain:  %s", pooled, plain)
 	}
 }
 
 // ---------------------------------------------------------------------------
-// checkConfig through the codec layer
+// checkConfig through decode
 // ---------------------------------------------------------------------------
 
 func TestCheckConfigThroughCodecLayer(t *testing.T) {
@@ -459,7 +425,7 @@ func TestCheckConfigThroughCodecLayer(t *testing.T) {
 	}
 
 	// Its decode time must now be visible in the JSON metric.
-	if m := srv.Metrics(); m.JSONNanos == 0 || m.Codecs["json"].DecodeNanos == 0 {
+	if m := srv.Metrics(); m.JSONNanos == 0 {
 		t.Errorf("checkConfig body parse invisible to metrics: %+v", m)
 	}
 

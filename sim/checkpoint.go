@@ -21,10 +21,11 @@ import (
 // the body carries every piece of dynamic state — architectural and
 // speculative registers, ROB, issue windows, LSU queues, functional
 // units, fetch/branch state, cache contents, memory (sparse pages),
-// cycle counters and statistics. Restore re-assembles the program (cheap,
-// proportional to source size, not to cycles executed) and overlays the
-// dynamic state, yielding a machine that is cycle-for-cycle deterministic
-// with the original. docs/checkpoint.md documents the binary layout.
+// cycle counters and statistics; a CRC-32C of the whole stream closes it.
+// Restore re-assembles the program (cheap, proportional to source size,
+// not to cycles executed) and overlays the dynamic state, yielding a
+// machine that is cycle-for-cycle deterministic with the original.
+// docs/checkpoint.md documents the binary layout.
 
 // header size bounds for the decoder.
 const (
@@ -52,6 +53,7 @@ func (m *Machine) Checkpoint(w io.Writer) error {
 	cw.String(m.src)
 	cw.Int(m.entry)
 	m.sim.EncodeState(cw)
+	cw.Fixed32(cw.Sum())
 	cw.U64(uint64(ckpt.FooterMagic))
 	if err := cw.Err(); err != nil {
 		return err
@@ -116,6 +118,13 @@ func Restore(r io.Reader) (*Machine, error) {
 		return nil, fmt.Errorf("%w: rebuilding machine: %v", ckpt.ErrCorrupt, err)
 	}
 	s.DecodeState(cr)
+	if version >= ckpt.BodyCRCVersion {
+		// The CRC covers every byte before it, so a flipped body byte
+		// that still decodes to plausible state is caught here.
+		if want, got := cr.Sum(), cr.Fixed32(); cr.Err() == nil && got != want {
+			cr.Corrupt("body CRC 0x%08x, computed 0x%08x", got, want)
+		}
+	}
 	if footer := cr.U64(); cr.Err() == nil && uint32(footer) != ckpt.FooterMagic {
 		cr.Corrupt("bad footer 0x%08x", footer)
 	}

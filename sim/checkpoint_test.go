@@ -191,10 +191,10 @@ func TestCheckpointPreservesDebugState(t *testing.T) {
 	}
 }
 
-// TestCheckpointGoldenWireFormat pins the binary encoding: any change to
-// the layout must bump ckpt.Version and regenerate this file with
-// `go test ./sim -run Golden -update`.
-func TestCheckpointGoldenWireFormat(t *testing.T) {
+// goldenMachine is the machine the golden checkpoint files capture: a
+// short countdown loop after 20 cycles.
+func goldenMachine(t *testing.T) *Machine {
+	t.Helper()
 	m, err := NewFromAsm(DefaultConfig(), `
 	li   t0, 5
 loop:
@@ -206,9 +206,16 @@ loop:
 		t.Fatal(err)
 	}
 	m.StepN(20)
-	data := checkpointBytes(t, m)
+	return m
+}
 
-	golden := filepath.Join("testdata", "checkpoint_v1.golden")
+// TestCheckpointGoldenWireFormat pins the binary encoding: any change to
+// the layout must bump ckpt.Version and regenerate the current version's
+// file with `go test ./sim -run Golden -update`.
+func TestCheckpointGoldenWireFormat(t *testing.T) {
+	data := checkpointBytes(t, goldenMachine(t))
+
+	golden := filepath.Join("testdata", fmt.Sprintf("checkpoint_v%d.golden", ckpt.Version))
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -228,6 +235,22 @@ loop:
 	// And the golden stream must still restore.
 	if _, err := Restore(bytes.NewReader(want)); err != nil {
 		t.Errorf("golden checkpoint does not restore: %v", err)
+	}
+}
+
+// TestCheckpointV1FixtureRestores: streams written before the body CRC
+// (format version 1) still restore, to the same machine.
+func TestCheckpointV1FixtureRestores(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Restore(bytes.NewReader(v1))
+	if err != nil {
+		t.Fatalf("v1 checkpoint does not restore: %v", err)
+	}
+	if got, want := m.StateHash(), goldenMachine(t).StateHash(); got != want {
+		t.Errorf("restored v1 machine hash %016x, fresh 20-cycle run %016x", got, want)
 	}
 }
 
@@ -284,5 +307,23 @@ func TestRestoreRejectsCorruptBody(t *testing.T) {
 	bad = append(bad, bytes.Repeat([]byte{0xFF}, 64)...)
 	if _, err := Restore(bytes.NewReader(bad)); err == nil {
 		t.Error("corrupt body restored without error")
+	}
+
+	// A single flipped bit pattern anywhere in the stream — header, body,
+	// CRC or footer — must fail with a ckpt sentinel, even where the
+	// flipped body still decodes to plausible state.
+	sentinels := []error{ckpt.ErrBadMagic, ckpt.ErrVersion, ckpt.ErrConfigHash, ckpt.ErrTruncated, ckpt.ErrCorrupt}
+	flipped := make([]byte, len(data))
+	for pos := range data {
+		copy(flipped, data)
+		flipped[pos] ^= 0x41
+		_, err := Restore(bytes.NewReader(flipped))
+		found := false
+		for _, s := range sentinels {
+			found = found || errors.Is(err, s)
+		}
+		if !found {
+			t.Fatalf("flip at byte %d of %d: err = %v, want a ckpt sentinel", pos, len(data), err)
+		}
 	}
 }
